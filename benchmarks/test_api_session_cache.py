@@ -6,8 +6,8 @@ Measures three regimes on one series and writes them to
 * **cold** — a fresh session per call: full validation, statistics and
   profile computation every time (the flat-entry-point cost model);
 * **warm_state** — one session, result cache disabled: the series
-  validation, ``SlidingStats`` and base FFT products are reused, the
-  O(n^2) profile work is re-done;
+  validation and ``SlidingStats`` are reused, the O(n^2) profile work is
+  re-done;
 * **warm_cached** — one session, repeated identical request: a cache hit.
 
 The acceptance gate (warm_cached >= 1.3x cold) is single-core safe: it

@@ -1,21 +1,15 @@
 """Transport cost of the content-addressed series store.
 
-Two regimes land in ``BENCH_store.json`` at the repository root:
+One regime lands in ``BENCH_store.json`` at the repository root:
 
 * **service transport** — the first request for a series (digest probe +
   ``PUT /series`` upload + retry) against a digest-only repeat request:
   wall-clock and, more tellingly, the bytes put on the wire (~8 bytes per
-  point cold, a constant ~200 bytes warm, whatever the series length);
-* **shared-memory segment reuse** — an engine-backed profile run that
-  re-packs its segment every call against a session whose digest-keyed
-  pool packs once (second-call wall-clock; pack counts are asserted
-  deterministically).
+  point cold, a constant ~200 bytes warm, whatever the series length).
 
-Wall-clock *speedups* are asserted only with two or more effective cores
-(a loaded single-core CI box makes timing assertions flaky); byte counts
-and pack counts are exact and assert everywhere.  The flush merges into an
-existing ``BENCH_store.json``, so a partial ``-k`` run never clobbers the
-other section.
+Wall-clock figures are recorded, not asserted (a loaded single-core CI box
+makes timing assertions flaky); byte counts are exact and assert
+everywhere.
 """
 
 from __future__ import annotations
@@ -26,11 +20,8 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-import repro
 from repro.api.requests import AnalysisRequest
-from repro.engine.shm import SharedSeriesBuffer
 from repro.service import BackgroundService, ServiceClient, ServiceConfig
 
 SERIES_LENGTH = 8192
@@ -38,31 +29,12 @@ WINDOW = 128
 REPEATS = 3
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
-_RESULTS: dict = {}
-
 
 def _effective_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux platforms
         return os.cpu_count() or 1
-
-
-def _flush() -> None:
-    existing: dict = {}
-    if RESULT_PATH.exists():
-        try:
-            existing = json.loads(RESULT_PATH.read_text())
-        except (OSError, json.JSONDecodeError):
-            existing = {}
-    payload = {
-        **existing,
-        "series_length": SERIES_LENGTH,
-        "window": WINDOW,
-        "effective_cores": _effective_cores(),
-        **_RESULTS,
-    }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def test_service_digest_transport_vs_upload(tmp_path) -> None:
@@ -107,68 +79,17 @@ def test_service_digest_transport_vs_upload(tmp_path) -> None:
     assert wire_bytes["cold"] >= SERIES_LENGTH * 8
     assert warm_bytes < 1024
 
-    _RESULTS["service_transport"] = {
-        "cold_upload_seconds": cold_seconds,
-        "digest_only_seconds": warm_seconds,
-        "cold_wire_bytes": wire_bytes["cold"],
-        "digest_only_wire_bytes": warm_bytes,
-        "wire_bytes_ratio": wire_bytes["cold"] / max(warm_bytes, 1.0),
-        "repeats": REPEATS,
+    payload = {
+        "series_length": SERIES_LENGTH,
+        "window": WINDOW,
+        "effective_cores": _effective_cores(),
+        "service_transport": {
+            "cold_upload_seconds": cold_seconds,
+            "digest_only_seconds": warm_seconds,
+            "cold_wire_bytes": wire_bytes["cold"],
+            "digest_only_wire_bytes": warm_bytes,
+            "wire_bytes_ratio": wire_bytes["cold"] / max(warm_bytes, 1.0),
+            "repeats": REPEATS,
+        },
     }
-    _flush()
-
-
-def test_shm_segment_reuse_vs_repack() -> None:
-    probe = SharedSeriesBuffer.create({"probe": np.arange(4.0)})
-    if probe is None:
-        pytest.skip("platform refuses shared-memory segments at runtime")
-    probe.close()
-    probe.unlink()
-
-    values = np.cumsum(np.random.default_rng(31).standard_normal(SERIES_LENGTH))
-    n_jobs = max(2, min(4, _effective_cores()))
-    engine = repro.EngineConfig(executor="parallel", n_jobs=n_jobs)
-
-    packs = []
-    original = SharedSeriesBuffer.create.__func__
-
-    def counting(cls, arrays):
-        packs.append(1)
-        return original(cls, arrays)
-
-    SharedSeriesBuffer.create = classmethod(counting)
-    try:
-        # Pool-less: flat partitioned_stomp packs a fresh segment per call.
-        repro.partitioned_stomp(values, WINDOW, executor="parallel", n_jobs=n_jobs)
-        started = time.perf_counter()
-        repro.partitioned_stomp(values, WINDOW, executor="parallel", n_jobs=n_jobs)
-        repack_seconds = time.perf_counter() - started
-        repack_count = len(packs)
-
-        # Pooled: the session packs once and every later run attaches.
-        packs.clear()
-        with repro.analyze(values, engine=engine) as session:
-            session.matrix_profile(WINDOW, cache=False)
-            started = time.perf_counter()
-            session.matrix_profile(WINDOW, cache=False)
-            reuse_seconds = time.perf_counter() - started
-            reuse_count = len(packs)
-    finally:
-        SharedSeriesBuffer.create = classmethod(original)
-
-    assert repack_count == 2, "the flat path packs per call"
-    assert reuse_count == 1, "the session path packs once"
-
-    _RESULTS["shm_segment_reuse"] = {
-        "n_jobs": n_jobs,
-        "repack_second_call_seconds": repack_seconds,
-        "reuse_second_call_seconds": reuse_seconds,
-        "speedup": repack_seconds / max(reuse_seconds, 1e-9),
-        "repack_count": repack_count,
-        "reuse_pack_count": reuse_count,
-    }
-    if _effective_cores() >= 2:
-        # With real parallelism the reused segment must not be slower than
-        # repacking by more than measurement noise allows.
-        assert reuse_seconds < repack_seconds * 1.5
-    _flush()
+    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -10,8 +10,8 @@ documents, the CLI, the benchmark harness — funnels through one table.
 
 Runners receive the session as their first argument and pull shared state
 (validated values, the memoized :class:`~repro.stats.sliding.SlidingStats`,
-the per-window base FFT products, the :class:`~repro.api.session.EngineConfig`)
-from it instead of recomputing per call.
+the :class:`~repro.api.session.EngineConfig`) from it instead of recomputing
+per call.
 """
 
 from __future__ import annotations
@@ -183,25 +183,14 @@ def _mp_stomp(session, window: int, **options):
     from repro.matrix_profile.stomp import stomp
 
     engine = session.engine
-    if engine.enabled:
-        return stomp(
-            session.values,
-            window,
-            stats=session.stats,
-            engine=engine.executor,
-            n_jobs=engine.n_jobs,
-            block_size=engine.block_size,
-            kernel=engine.kernel,
-            segment_pool=session.segment_pool,
-            segment_key=session.segment_key(window),
-            **options,
-        )
     return stomp(
         session.values,
         window,
         stats=session.stats,
+        engine=engine.executor,
+        n_jobs=engine.n_jobs,
+        block_size=engine.block_size,
         kernel=engine.kernel,
-        centered_first_row_qt=session.base_dot_products(window),
         **options,
     )
 

@@ -10,8 +10,6 @@ pay those costs once; the session object does exactly that:
   accepted uniformly);
 * one :class:`~repro.stats.sliding.SlidingStats` (prefix sums + per-window
   mean/std cache) is shared across every computation;
-* the base FFT products STOMP needs (``QT[0, j]``) are memoized per window
-  length;
 * every completed computation is cached under its canonical request key in a
   bounded LRU cache (entry-count **and** byte-size accounting, see
   :class:`~repro.api.cache.LRUResultCache`), so repeating a call is a
@@ -40,7 +38,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,11 +52,9 @@ from repro.api.cache import (
 from repro.api.registry import resolve_algorithm
 from repro.api.requests import AnalysisRequest, AnalysisResult, canonical_cache_key
 from repro.engine.executor import Executor
-from repro.engine.shm import SharedSegmentPool
 from repro.exceptions import InvalidParameterError, SerializationError
 from repro.matrix_profile.kernels import validate_kernel
 from repro.series.dataseries import DataSeries, as_series
-from repro.stats.fft import sliding_dot_product
 from repro.stats.sliding import SlidingStats
 
 __all__ = ["EngineConfig", "CacheConfig", "Analysis", "analyze"]
@@ -206,7 +202,6 @@ class Analysis:
             cache_config = CacheConfig()
         self._cache_config = cache_config
         self._stats: SlidingStats | None = None
-        self._base_qt: Dict[int, np.ndarray] = {}
         self._results = LRUResultCache(
             cache_config.max_entries, cache_config.max_bytes
         )
@@ -217,8 +212,6 @@ class Analysis:
         )
         self._index = index
         self._digest: str | None = None
-        self._segments: SharedSegmentPool | None = None
-        self._closed = False
         self._hits = 0
         self._misses = 0
         self._persistent_hits = 0
@@ -280,65 +273,24 @@ class Analysis:
             self._stats = SlidingStats(self.values)
         return self._stats
 
-    @property
-    def segment_pool(self) -> SharedSegmentPool:
-        """The session's digest-keyed shared-memory segment pool.
-
-        Engine-backed profile runs acquire their packed series segment here
-        (see :meth:`segment_key`), so the pack and the per-worker copy are
-        paid **once per series per session** instead of once per call.  The
-        session owns the segments: :meth:`close` unlinks them.  Created
-        lazily — sessions that never route through a process executor never
-        touch shared memory.
-        """
-        if self._segments is None or self._closed:
-            self._segments = SharedSegmentPool()
-            self._closed = False
-        return self._segments
-
-    def segment_key(self, window: int) -> str:
-        """Pool key of the packed arrays for one window length.
-
-        The packed segment holds the centered series *and* the per-window
-        statistics (means, stds, seeding dot products), so the identity is
-        the series content digest plus the window.
-        """
-        return f"{self.series_digest}:w{int(window)}"
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run (the session remains usable —
-        engine resources are simply re-created on demand)."""
-        return self._closed
-
     def close(self) -> None:
-        """Release the session's engine resources (idempotent).
+        """End the session (idempotent; kept as the public lifecycle).
 
-        Unlinks every shared-memory segment the session registered.  The
-        caches are left alone: the in-memory results die with the object
-        anyway and the persistent spill exists to outlive it.  Long-lived
-        owners (the service's session pool) call this on eviction; ad-hoc
-        users get it from the context-manager form::
+        Releases nothing today: a session holds only values, statistics and
+        result caches, all of which die with the object, and every engine
+        run unlinks its transient shared-memory segment before returning.
+        The persistent spill exists to outlive the session and is left
+        alone.  The context-manager form calls it on exit::
 
             with repro.analyze(series, engine="parallel") as session:
                 ...
         """
-        if self._segments is not None:
-            self._segments.close()
-        self._closed = True
 
     def __enter__(self) -> "Analysis":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            if not getattr(self, "_closed", True):
-                self.close()
-        except Exception:
-            pass
 
     def __len__(self) -> int:
         return len(self._series)
@@ -348,28 +300,6 @@ class Analysis:
             f"Analysis(name={self.name!r}, length={len(self)}, "
             f"engine={self._engine.as_dict()}, cached_results={len(self._results)})"
         )
-
-    def base_dot_products(self, window: int) -> np.ndarray:
-        """Memoized ``QT[0, j]`` sliding dot products for one window length.
-
-        This is the single FFT product a STOMP run needs; caching it means a
-        repeated ``matrix_profile`` call at the same window (with caching
-        disabled or different options) still skips the FFT.  The products
-        are taken on the **mean-centered** series — the form
-        :func:`repro.matrix_profile.stomp.stomp` expects for its centered
-        recurrence (``centered_first_row_qt=``).
-        """
-        window = int(window)
-        cached = self._base_qt.get(window)
-        if cached is None:
-            if window < 1 or window > len(self):
-                raise InvalidParameterError(
-                    f"window {window} out of range [1, {len(self)}]"
-                )
-            centered = self.stats.centered_values
-            cached = sliding_dot_product(centered[:window], centered)
-            self._base_qt[window] = cached
-        return cached
 
     def coerce_other(self, other) -> Tuple[np.ndarray, SlidingStats | None]:
         """Normalise the second series of a join/distance computation.
@@ -397,14 +327,13 @@ class Analysis:
         }
 
     def clear_cache(self) -> None:
-        """Drop every in-memory cached result and memoized FFT product.
+        """Drop every in-memory cached result.
 
         The persistent spill directory (when configured) is left intact —
         it exists precisely to outlive sessions; remove the directory itself
         to discard it.
         """
         self._results.clear()
-        self._base_qt.clear()
         self._hits = 0
         self._misses = 0
         self._persistent_hits = 0

@@ -79,7 +79,6 @@ from repro import obs
 from repro.engine.executor import Executor, resolve_executor
 from repro.engine.shm import (
     SharedArraysHandle,
-    SharedSegmentPool,
     SharedSeriesBuffer,
     attach_arrays,
 )
@@ -108,6 +107,9 @@ DEFAULT_RESEED_INTERVAL = 512
 #: Minimum block size the planner will produce: below ~64 rows the per-block
 #: MASS seed dominates the recurrence work the block saves.
 _MIN_AUTO_BLOCK = 64
+
+#: Keys of the four O(n) arrays a block task reads, in payload-tuple order.
+_PACKED_FIELDS = ("values", "means", "stds", "first_row_dots")
 
 # Engine telemetry: one recording per block / per sweep call, never per row.
 _ENGINE_METRICS = obs.scope("engine")
@@ -231,10 +233,7 @@ def _block_task(payload):
     arrays_ref, window, radius, start, stop, reseed_interval, ingest, kernel = payload
     if isinstance(arrays_ref, SharedArraysHandle):
         arrays = attach_arrays(arrays_ref)
-        values = arrays["values"]
-        means = arrays["means"]
-        stds = arrays["stds"]
-        first_row_dots = arrays["first_row_dots"]
+        values, means, stds, first_row_dots = (arrays[key] for key in _PACKED_FIELDS)
     else:
         values, means, stds, first_row_dots = arrays_ref
     if obs_stamp is None:
@@ -289,8 +288,6 @@ def partitioned_stomp(
     stats: SlidingStats | None = None,
     profile_callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
     ingest_store=None,
-    segment_pool: SharedSegmentPool | None = None,
-    segment_key: str | None = None,
 ) -> MatrixProfile:
     """Exact matrix profile via block-partitioned STOMP.
 
@@ -333,18 +330,6 @@ def partitioned_stomp(
         rows into a store fragment (inside the worker, when parallel) and
         the fragments are merged back here in block order — the
         block-parallel replacement for VALMOD's old per-row callback.
-    segment_pool, segment_key:
-        Opt-in segment reuse across calls: with both given (and a process
-        executor), the packed series segment is acquired from the
-        :class:`~repro.engine.shm.SharedSegmentPool` under ``segment_key``
-        instead of created fresh — a repeat call with the same key skips
-        the pack *and* the seeding FFT, and each worker's attach-cache hit
-        skips the copy.  The pool's owner (the
-        :class:`~repro.api.Analysis` session keys it by series digest plus
-        window) is responsible for unlinking; this function never unlinks
-        a pooled segment.  The caller must guarantee the key uniquely
-        names the packed content — series values, ``window`` and the
-        statistics they derive.
     """
     values = validate_series(series)
     window = validate_subsequence_length(values.size, window)
@@ -380,24 +365,7 @@ def partitioned_stomp(
             ingest_store.lower_bound_kind,
         )
 
-    # The seeding FFT is deferred: on a segment-pool hit the packed
-    # first-row products already live in the segment, so a repeat call
-    # skips this O(n log n) pass along with the pack itself.
-    first_row_dots: np.ndarray | None = None
-
-    def seed_dots() -> np.ndarray:
-        nonlocal first_row_dots
-        if first_row_dots is None:
-            first_row_dots = sliding_dot_product(sweep_values[:window], sweep_values)
-        return first_row_dots
-
-    def packed_arrays() -> dict:
-        return {
-            "values": sweep_values,
-            "means": means,
-            "stds": stds,
-            "first_row_dots": seed_dots(),
-        }
+    first_row_dots = sliding_dot_product(sweep_values[:window], sweep_values)
 
     _STOMP_CALLS.inc()
     stomp_span = obs.span("engine.stomp", window=int(window), rows=int(count))
@@ -419,7 +387,7 @@ def partitioned_stomp(
                         radius,
                         means,
                         stds,
-                        seed_dots(),
+                        first_row_dots,
                         start,
                         stop,
                         reseed_interval,
@@ -433,19 +401,13 @@ def partitioned_stomp(
                 # Shared memory only pays off across a process boundary; a
                 # degraded pool runs in-process, where the parent would attach
                 # to its own segment and pin the mapping for nothing.
-                buffer = None
-                pooled = False
-                if chosen_executor.uses_processes:
-                    if segment_pool is not None and segment_key is not None:
-                        buffer = segment_pool.acquire(segment_key, packed_arrays)
-                        pooled = buffer is not None
-                    if buffer is None:
-                        buffer = SharedSeriesBuffer.create(packed_arrays())
-                arrays_ref = (
-                    buffer.handle
-                    if buffer is not None
-                    else (sweep_values, means, stds, seed_dots())
+                arrays = (sweep_values, means, stds, first_row_dots)
+                buffer = (
+                    SharedSeriesBuffer.create(dict(zip(_PACKED_FIELDS, arrays)))
+                    if chosen_executor.uses_processes
+                    else None
                 )
+                arrays_ref = arrays if buffer is None else buffer.handle
                 try:
                     # Tasks crossing a process boundary carry the trace and
                     # metrics context; their harvest comes back as a fourth
@@ -477,10 +439,7 @@ def partitioned_stomp(
                         harvested.append(item)
                     results = harvested
                 finally:
-                    # A pooled segment belongs to its pool's owner (the
-                    # session) and stays mapped for the next call on the
-                    # same key.
-                    if buffer is not None and not pooled:
+                    if buffer is not None:
                         buffer.close()
                         buffer.unlink()
         finally:

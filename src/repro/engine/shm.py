@@ -38,10 +38,8 @@ and ``unlink()`` performs the single matching unregister (see the note in
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -57,21 +55,20 @@ __all__ = [
     "SharedArraysHandle",
     "BlobHandle",
     "SharedSeriesBuffer",
-    "SharedSegmentPool",
     "attach_arrays",
     "attach_blob",
     "shared_memory_available",
     "ATTACH_CACHE_MAX_BYTES",
     "BLOB_CACHE_MAX_BYTES",
-    "DEFAULT_SEGMENT_POOL_MAX_BYTES",
 ]
 
-#: Byte cap of the per-process attach cache.  Digest-keyed segments live for
-#: a whole :class:`~repro.api.Analysis` session, so a worker may legitimately
-#: hold copies of several hot series at once (one per session it serves) —
-#: an entry *count* would evict live series under multi-session traffic while
-#: a byte bound keeps worker memory proportional to the data actually hot.
-#: 256 MiB holds ~8 packed four-million-point series.
+#: Byte cap of the per-process attach cache.  Every segment is transient —
+#: its creator unlinks it once the executor's ``map`` returns — so an entry
+#: pays off across the blocks of one call, and a batch may keep several
+#: series segments live at once (one per distinct series).  An entry *count*
+#: would evict a live series of a wide batch while a byte bound keeps worker
+#: memory proportional to the data.  256 MiB holds ~8 packed
+#: four-million-point series.
 ATTACH_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
 #: Per-process cache of attached segments: segment name -> private copies of
@@ -80,14 +77,6 @@ ATTACH_CACHE_MAX_BYTES = 256 * 1024 * 1024
 #: task is about to use would thrash).
 _ATTACH_CACHE: "Dict[str, Dict[str, np.ndarray]]" = {}
 _ATTACH_CACHE_BYTES: "Dict[str, int]" = {}
-
-#: Default byte cap of a :class:`SharedSegmentPool`.  A session sweeping
-#: many window lengths registers one segment per window; without a bound
-#: that is an unbounded claim on /dev/shm.  256 MiB of packed segments
-#: (~4 arrays x 8 bytes x n per window) is far beyond the interactive
-#: pattern while keeping a long-lived service session finite.
-DEFAULT_SEGMENT_POOL_MAX_BYTES = 256 * 1024 * 1024
-
 
 @dataclass(frozen=True)
 class SharedArraysHandle:
@@ -124,9 +113,6 @@ _BLOB_ATTACH_MISSES = _SHM_METRICS.counter("blob_attach_misses")
 _BLOB_VERIFY_FAILURES = _SHM_METRICS.counter("blob_verify_failures")
 _ARRAY_ATTACH_HITS = _SHM_METRICS.counter("array_attach_hits")
 _ARRAY_ATTACH_MISSES = _SHM_METRICS.counter("array_attach_misses")
-_SEGMENT_HITS = _SHM_METRICS.counter("segment_pool_hits")
-_SEGMENT_CREATES = _SHM_METRICS.counter("segment_pool_creates")
-_SEGMENT_EVICTIONS = _SHM_METRICS.counter("segment_pool_evictions")
 
 
 @dataclass(frozen=True)
@@ -298,126 +284,6 @@ class SharedSeriesBuffer:
     def __exit__(self, *exc_info) -> None:
         self.close()
         self.unlink()
-
-
-class SharedSegmentPool:
-    """Parent-side registry of shared-memory segments keyed by content.
-
-    One ``partitioned_stomp`` call used to create a fresh uniquely-named
-    segment and unlink it when its ``map`` returned — so the per-worker
-    attach cache (keyed by segment *name*) could never hit across calls,
-    and every call on the same series re-paid the pack **and** the
-    per-worker copy.  The pool gives segments an identity that outlives a
-    call: the owner (an :class:`~repro.api.Analysis` session) keys them by
-    series content digest plus window, :meth:`acquire` returns the live
-    segment on every later call with the same key, and the segments are
-    unlinked exactly once — on :meth:`close`, i.e. when the session closes.
-
-    Creation failures keep the engine's fallback contract:
-    :meth:`acquire` returns ``None`` when the platform cannot host the
-    segment, and the caller ships pickled arrays instead.  Thread-safe —
-    the service layer runs sessions from executor threads.
-
-    ``max_bytes`` bounds the pooled payload bytes (LRU eviction beyond it,
-    the segment just acquired always stays): a session sweeping hundreds of
-    window lengths must not turn into an unbounded /dev/shm claim.
-    """
-
-    def __init__(self, max_bytes: int | None = DEFAULT_SEGMENT_POOL_MAX_BYTES) -> None:
-        if max_bytes is not None and int(max_bytes) < 1:
-            raise InvalidParameterError(f"max_bytes must be >= 1, got {max_bytes}")
-        self._segments: "OrderedDict[str, SharedSeriesBuffer]" = OrderedDict()
-        self._max_bytes = None if max_bytes is None else int(max_bytes)
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def acquire(
-        self,
-        key: str,
-        arrays_factory: Callable[[], Mapping[str, np.ndarray]],
-    ) -> "SharedSeriesBuffer | None":
-        """The segment registered under ``key``, created on first use.
-
-        ``arrays_factory`` is only called when the segment does not exist
-        yet (packing is the cost the pool exists to amortise).  Returns
-        ``None`` when shared memory is unavailable; the failure is not
-        cached, so a transient condition (``/dev/shm`` momentarily full)
-        heals on a later call.
-        """
-        evicted: list = []
-        with self._lock:
-            if self._closed:
-                raise InvalidParameterError("this segment pool is already closed")
-            buffer = self._segments.get(key)
-            if buffer is None:
-                buffer = SharedSeriesBuffer.create(arrays_factory())
-                if buffer is None:
-                    return None
-                self._segments[key] = buffer
-                _SEGMENT_CREATES.inc()
-            else:
-                self._segments.move_to_end(key)
-                _SEGMENT_HITS.inc()
-            if self._max_bytes is not None:
-                total = sum(
-                    segment.handle.total_elements * 8
-                    for segment in self._segments.values()
-                )
-                while total > self._max_bytes and len(self._segments) > 1:
-                    _, coldest = self._segments.popitem(last=False)
-                    total -= coldest.handle.total_elements * 8
-                    evicted.append(coldest)
-                    _SEGMENT_EVICTIONS.inc()
-        # Unlink outside the pool lock.  NOTE: the caller that last used an
-        # evicted segment has either finished its map() (segments are only
-        # touched between acquire() and the executor map returning) or is
-        # the current caller — whose segment is never evicted.
-        for segment in evicted:
-            segment.close()
-            segment.unlink()
-        return buffer
-
-    def release(self, key: str) -> None:
-        """Unlink one segment early (idempotent)."""
-        with self._lock:
-            buffer = self._segments.pop(key, None)
-        if buffer is not None:
-            buffer.close()
-            buffer.unlink()
-
-    def close(self) -> None:
-        """Unlink every owned segment (idempotent, the owner's last word)."""
-        with self._lock:
-            segments = list(self._segments.values())
-            self._segments.clear()
-            self._closed = True
-        for buffer in segments:
-            buffer.close()
-            buffer.unlink()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._segments)
-
-    def keys(self) -> list:
-        """The registered keys (for stats and tests)."""
-        with self._lock:
-            return list(self._segments)
-
-    @property
-    def total_bytes(self) -> int:
-        """Summed payload bytes of every live segment."""
-        with self._lock:
-            return sum(
-                buffer.handle.total_elements * 8
-                for buffer in self._segments.values()
-            )
-
-    def __enter__(self) -> "SharedSegmentPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def attach_arrays(handle: SharedArraysHandle) -> Dict[str, np.ndarray]:

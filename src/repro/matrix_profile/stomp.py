@@ -41,9 +41,6 @@ def stomp(
     n_jobs: int | None = None,
     block_size: int | None = None,
     kernel: str | None = None,
-    centered_first_row_qt: np.ndarray | None = None,
-    segment_pool=None,
-    segment_key: str | None = None,
 ) -> MatrixProfile:
     """Exact matrix profile of ``series`` at subsequence length ``window``.
 
@@ -89,24 +86,6 @@ def stomp(
         kernels produce identical profiles and indices; a
         ``profile_callback`` (which needs full distance rows) always runs
         on the oracle kernel.
-    segment_pool, segment_key:
-        Shared-memory segment reuse across engine calls (see
-        :func:`repro.engine.partition.partitioned_stomp`); ignored when
-        ``engine`` is ``None``.  The :class:`repro.api.Analysis` session
-        passes its digest-keyed pool here so repeated engine-backed runs
-        on the same series pack (and per-worker copy) the series once.
-    centered_first_row_qt:
-        Optional precomputed sliding dot products of the first query
-        (``QT[0, j]`` for every ``j``) — the one FFT product STOMP needs —
-        taken on the **mean-centered** series (``values - values.mean()``),
-        which is the space the recurrence runs in (see below).  The
-        parameter was named ``first_row_qt`` (and carried *raw* products)
-        before the sweep was centered; the rename makes stale raw-product
-        callers fail loudly instead of silently mis-seeding the recurrence.
-        The :class:`repro.api.Analysis` session memoizes it per window
-        length so repeated calls on the same series skip the FFT.  Ignored
-        when ``engine`` routes the computation (the engine re-seeds blocks
-        itself).
 
     Returns
     -------
@@ -145,8 +124,6 @@ def stomp(
             stats=stats,
             profile_callback=profile_callback,
             ingest_store=ingest_store,
-            segment_pool=segment_pool,
-            segment_key=segment_key,
         )
     values = validate_series(series)
     window = validate_subsequence_length(values.size, window)
@@ -161,16 +138,7 @@ def stomp(
     if ingest_store is not None:
         ingest_store.require_ready_for_ingest(window)
 
-    if centered_first_row_qt is not None:
-        first_row_dots = np.asarray(centered_first_row_qt, dtype=np.float64)
-        if first_row_dots.shape != (count,):
-            raise InvalidParameterError(
-                "centered_first_row_qt must have "
-                f"{count} entries, got shape {first_row_dots.shape}"
-            )
-    else:
-        first_query = sweep_values[:window]
-        first_row_dots = sliding_dot_product(first_query, sweep_values)
+    first_row_dots = sliding_dot_product(sweep_values[:window], sweep_values)
 
     # The whole sweep — recurrence, row reductions, hook dispatch — lives
     # in the kernel layer; the serial contract is one unbroken recurrence

@@ -43,8 +43,8 @@ Sessions and caching
 --------------------
 Series are identified by content digest (:func:`repro.api.cache.series_digest`).
 Each digest owns one session in a bounded LRU pool, so repeated traffic
-about the same series shares validation, sliding statistics, memoized FFT
-products and the session's LRU result cache; with a
+about the same series shares validation, sliding statistics and the
+session's LRU result cache; with a
 :class:`~repro.api.cache.CacheConfig` ``persist_dir`` the envelopes also
 spill to disk and survive the process.  Every ``/analyze`` response reports
 where its result came from (``"memory"`` / ``"persistent"`` /
@@ -100,6 +100,7 @@ import asyncio
 import json
 import threading
 import time
+import warnings
 from collections import OrderedDict, deque
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -374,7 +375,6 @@ class _SessionPool:
             index=self._index,
         )
         slot = (session, threading.Lock())
-        evicted: List[Tuple[Analysis, threading.Lock]] = []
         with self._lock:
             raced = self._sessions.get(digest)
             if raced is not None:
@@ -382,15 +382,9 @@ class _SessionPool:
                 return raced
             self._sessions[digest] = slot
             while len(self._sessions) > self._config.max_sessions:
-                _, old_slot = self._sessions.popitem(last=False)
-                evicted.append(old_slot)
-        # Outside the pool lock, but under each slot's own lock: close()
-        # unlinks the session's shared-memory segments, and an evicted
-        # session may still be mid-computation on another worker thread —
-        # unlinking under it would fail its in-flight engine run.
-        for old_session, old_lock in evicted:
-            with old_lock:
-                old_session.close()
+                # An evicted session still mid-computation on a worker
+                # thread finishes on the reference that thread holds.
+                self._sessions.popitem(last=False)
         return slot
 
     def lookup_values(self, digest: str) -> np.ndarray | None:
@@ -406,18 +400,6 @@ class _SessionPool:
                 return None
             self._sessions.move_to_end(digest)
             return slot[0].values
-
-    def close_all(self) -> None:
-        """Close every pooled session (service shutdown): shared-memory
-        segments are owned by sessions and must not outlive the service.
-        Each close waits on its slot lock so a computation still draining
-        is not undercut (see the eviction path)."""
-        with self._lock:
-            slots = list(self._sessions.values())
-            self._sessions.clear()
-        for session, lock in slots:
-            with lock:
-                session.close()
 
     def stats(self) -> List[dict]:
         with self._lock:
@@ -492,8 +474,8 @@ class _WorkerTask:
 
 
 #: Worker-process session LRU, keyed by series digest.  Reusing a session
-#: across jobs keeps its sliding statistics, memoized FFT products and
-#: result cache warm — the per-process mirror of the parent's session pool.
+#: across jobs keeps its sliding statistics and result cache warm — the
+#: per-process mirror of the parent's session pool.
 _WORKER_SESSIONS: "OrderedDict[str, Analysis]" = OrderedDict()
 
 
@@ -514,8 +496,7 @@ def _worker_session(task: _WorkerTask) -> Analysis:
         engine=EngineConfig.from_dict(task.engine),
     )
     while len(_WORKER_SESSIONS) >= _WORKER_SESSION_SLOTS:
-        _, evicted = _WORKER_SESSIONS.popitem(last=False)
-        evicted.close()
+        _WORKER_SESSIONS.popitem(last=False)
     _WORKER_SESSIONS[task.digest] = session
     return session
 
@@ -589,6 +570,9 @@ class AnalysisService:
         self._pending_futures = 0
         self._futures_flushed = asyncio.Event()
         self._futures_flushed.set()
+        #: Live connection handlers and their writers: ``stop()`` closes
+        #: each transport so every handler returns before the loop ends.
+        self._handlers: "Dict[asyncio.Task, asyncio.StreamWriter]" = {}
         self._metrics = _ServiceMetrics()
         #: Retained /metrics snapshots keyed by their opaque window token —
         #: a scraper passing ``?since=<token>`` gets the delta against the
@@ -699,8 +683,6 @@ class AnalysisService:
         job it was driving)."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         for worker in self._workers:
             worker.cancel()
         for worker in self._workers:
@@ -732,9 +714,19 @@ class AnalysisService:
             await asyncio.wait_for(self._futures_flushed.wait(), timeout=5.0)
         except (asyncio.TimeoutError, TimeoutError):
             pass
+        # Closing a transport hands its reader EOF, so an idle keep-alive
+        # handler returns on its own.  One still running when asyncio.run()
+        # ends would be cancelled, and asyncio logs a cancelled connection
+        # handler as an "Exception in callback" CancelledError traceback.
+        handlers = list(self._handlers.items())
+        for _, writer in handlers:
+            writer.close()
+        if handlers:
+            await asyncio.wait([task for task, _ in handlers], timeout=5.0)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         self._shutdown_executors()
-        # Sessions own shared-memory segments; unlink them with the service.
-        self._pool.close_all()
         if self._index is not None:
             self._index.close()
 
@@ -991,6 +983,8 @@ class AnalysisService:
         # what lets a ServiceClient reuse one socket for its digest
         # negotiation; pipelining is what lets it overlap submissions.
         self._connections += 1
+        handler = asyncio.current_task()
+        self._handlers[handler] = writer
         responses: "asyncio.Queue" = asyncio.Queue()
         budget = asyncio.Semaphore(_MAX_PIPELINE_DEPTH)
         writer_task = asyncio.get_running_loop().create_task(
@@ -1077,6 +1071,7 @@ class AnalysisService:
                 # dying connections get cancelled mid-await and spam the
                 # loop's exception handler) for no benefit.
                 writer.close()
+                self._handlers.pop(handler, None)
 
     def _future_flushed(self) -> None:
         """One future-backed response left the building (or died trying)."""
@@ -1496,10 +1491,7 @@ class AnalysisService:
                 await self._stream_body(reader, content_length, chunks.append)
                 # No store: park the series in the session pool so
                 # digest-only requests resolve until LRU pressure evicts it.
-                # Off the event loop: the digest check hashes the series and
-                # pool insertion may wait on an evicted slot's lock (a
-                # session mid-computation must finish before its segments
-                # are unlinked).
+                # Off the event loop: the digest check hashes the series.
                 error = await self._offload(
                     self._adopt_into_pool, b"".join(chunks), digest, name
                 )
@@ -1663,6 +1655,10 @@ def serve_forever(config: ServiceConfig | None = None) -> None:
         pass
 
 
+#: How long leaving a :class:`BackgroundService` waits for its thread.
+_BACKGROUND_JOIN_SECONDS = 30
+
+
 class BackgroundService:
     """A service running on its own thread/event loop (tests, benchmarks).
 
@@ -1710,7 +1706,9 @@ class BackgroundService:
         self._started = threading.Event()
         self._error = None
         self._stop = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread = threading.Thread(
+            target=self._run, name="repro-background-service", daemon=True
+        )
         self._thread.start()
         if not self._started.wait(timeout=30):
             raise ServiceError("the background service did not start in time")
@@ -1721,27 +1719,38 @@ class BackgroundService:
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._loop is not None and self._stop is not None:
             self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
+        thread = self._thread
+        if thread is not None:
+            thread.join(timeout=_BACKGROUND_JOIN_SECONDS)
+            if thread.is_alive():
+                warnings.warn(
+                    f"background service thread {thread.name!r} is still alive "
+                    f"{_BACKGROUND_JOIN_SECONDS} s after the stop request; "
+                    "it is left running as a daemon",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         self._service = None
         self._loop = None
         self._thread = None
 
     def _run(self) -> None:
         async def _main() -> None:
-            self._service = AnalysisService(self._config)
-            self._stop = asyncio.Event()
+            # Locals, not attributes: __exit__ resets the attributes even
+            # when this thread outlives its join.
+            service = self._service = AnalysisService(self._config)
+            stop = self._stop = asyncio.Event()
             self._loop = asyncio.get_running_loop()
             try:
-                await self._service.start()
+                await service.start()
             except BaseException as error:
                 self._error = error
                 self._started.set()
                 return
             self._started.set()
             try:
-                await self._stop.wait()
+                await stop.wait()
             finally:
-                await self._service.stop()
+                await service.stop()
 
         asyncio.run(_main())

@@ -79,19 +79,6 @@ class TestSharedState:
         session.motifs(16, 20, method="stomp_range")
         assert len(created) == 1
 
-    def test_base_fft_products_memoized_per_window(self, values):
-        session = analyze(values)
-        first = session.base_dot_products(24)
-        assert session.base_dot_products(24) is first
-        assert session.base_dot_products(32) is not first
-
-    def test_base_dot_products_validation(self, values):
-        session = analyze(values)
-        with pytest.raises(InvalidParameterError):
-            session.base_dot_products(0)
-        with pytest.raises(InvalidParameterError):
-            session.base_dot_products(10**6)
-
 
 class TestResultCache:
     def test_repeat_call_returns_cached_envelope(self, values):

@@ -10,11 +10,13 @@ host actually lacking ``/dev/shm``.
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.api import AnalysisRequest, EngineConfig, analyze
 from repro.engine import shm as shm_module
 from repro.engine.executor import ParallelExecutor
 from repro.engine.partition import _block_task, partitioned_stomp
@@ -238,3 +240,52 @@ class TestEngineTransport:
                 )
         np.testing.assert_array_equal(profile.indices, oracle.indices)
         np.testing.assert_allclose(profile.distances, oracle.distances, atol=1e-8)
+
+
+def _shm_entries() -> set:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
+class TestSessionSegmentLifetime:
+    """A session owns no segments: every engine-backed call unlinks the
+    segment it packed before returning, with no ``close()`` needed."""
+
+    def test_each_call_leaves_no_segment_behind(self, monkeypatch):
+        probe = SharedSeriesBuffer.create({"probe": np.arange(4.0)})
+        if probe is None:
+            pytest.skip("platform refuses shared-memory segments at runtime")
+        probe.close()
+        probe.unlink()
+
+        created = []
+        original = SharedSeriesBuffer.create.__func__
+
+        def recording(cls, arrays):
+            created.append(1)
+            return original(cls, arrays)
+
+        monkeypatch.setattr(SharedSeriesBuffer, "create", classmethod(recording))
+        values = _values(500, seed=21)
+        session = analyze(values, engine=EngineConfig(executor="parallel", n_jobs=2))
+        before = _shm_entries()
+        calls = [
+            lambda: session.matrix_profile(20, cache=False),
+            lambda: session.matrix_profile(20, cache=False),
+            lambda: session.run_many(
+                [
+                    AnalysisRequest(kind="matrix_profile", params={"window": w})
+                    for w in (16, 24)
+                ],
+                cache=False,
+            ),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for call in calls:
+                packed = len(created)
+                call()
+                assert len(created) > packed, "the call never used shared memory"
+                assert _shm_entries() <= before

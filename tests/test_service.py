@@ -10,6 +10,7 @@ registry algorithm on an event and filling the bounded queue behind it.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 
@@ -438,3 +439,37 @@ def test_harness_service_backed_mode_matches_in_process(service, values):
         np.testing.assert_allclose(
             best_local.distance, best_remote.distance, atol=1e-8
         )
+
+
+# --------------------------------------------------------------------- #
+# shutdown
+# --------------------------------------------------------------------- #
+def test_stop_with_idle_keepalive_connection_logs_no_error(values, caplog):
+    """Leaving the service while a client still holds its kept-alive
+    socket must end that connection's handler cleanly — a handler left to
+    the loop teardown is cancelled, and asyncio logs a CancelledError
+    traceback for it."""
+    caplog.set_level(logging.ERROR)
+    with BackgroundService(ServiceConfig(port=0, workers=1)) as background:
+        client = ServiceClient(port=background.port)
+        client.analyze(values, _mp_request(24))
+    client.close()
+    errors = [
+        record
+        for record in caplog.records
+        if record.levelno >= logging.ERROR
+        and record.name.split(".")[0] in ("asyncio", "repro")
+    ]
+    assert errors == [], [record.getMessage() for record in errors]
+
+
+def test_exit_warns_when_the_service_thread_outlives_the_join(monkeypatch):
+    background = BackgroundService(ServiceConfig(port=0, workers=1))
+    with pytest.warns(RuntimeWarning, match="repro-background-service"):
+        with background:
+            thread = background._thread
+            monkeypatch.setattr(thread, "join", lambda timeout=None: None)
+            monkeypatch.setattr(thread, "is_alive", lambda: True)
+    monkeypatch.undo()
+    thread.join(timeout=30)
+    assert not thread.is_alive()

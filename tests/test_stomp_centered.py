@@ -60,14 +60,15 @@ def test_engine_recurrence_drift_at_large_offset(offset_series, oracle):
     np.testing.assert_array_equal(profile.indices, oracle.indices)
 
 
-def test_session_memoized_first_row_matches_fresh_sweep(offset_series):
-    """The session hands stomp a memoized ``centered_first_row_qt``; the
-    result must equal the sweep that computes its own seed."""
-    session = repro.analyze(offset_series)
+@pytest.mark.parametrize("engine", [None, "serial"])
+def test_session_matrix_profile_matches_flat_stomp(offset_series, engine):
+    """The session adds caching, not arithmetic: its profile must equal the
+    flat ``stomp`` call on the same engine bit for bit."""
+    session = repro.analyze(offset_series, engine=engine)
     via_session = session.matrix_profile(WINDOW).profile()
-    fresh = stomp(offset_series, WINDOW)
-    np.testing.assert_array_equal(via_session.distances, fresh.distances)
-    np.testing.assert_array_equal(via_session.indices, fresh.indices)
+    flat = stomp(offset_series, WINDOW, engine=engine)
+    np.testing.assert_array_equal(via_session.distances, flat.distances)
+    np.testing.assert_array_equal(via_session.indices, flat.indices)
 
 
 def test_callback_sweep_is_centered_too(offset_series, oracle):
